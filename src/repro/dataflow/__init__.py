@@ -21,11 +21,10 @@ from repro.dataflow.datamover import DataMover, TransferStats
 from repro.dataflow.tiler import SpatialTiler, plan_blocks, BlockPlan
 from repro.dataflow.batcher import BatchRunner
 from repro.dataflow.scheduler import GroupRun, MixRunResult, MixScheduler
-from repro.dataflow.accelerator import FPGAAccelerator, MixReport, SimReport, HostModel
+from repro.dataflow.accelerator import FPGAAccelerator, SimReport, HostModel
 
 __all__ = [
     "GroupRun",
-    "MixReport",
     "MixRunResult",
     "MixScheduler",
     "LineBufferStream",

@@ -91,26 +91,6 @@ class BatchRunner:
         )
         return self.pipeline.run_batch(batch_fields, niter, coefficients, limit)
 
-    def run_mix(
-        self,
-        groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
-        coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
-    ) -> list[list[dict[str, Field]]]:
-        """Solve a mix of batches: each ``(batch_fields, niter)`` group in turn.
-
-        Specs must agree within a group but may differ across groups
-        (differing mesh shapes and iteration counts ride separate compiled
-        plans). See :class:`repro.dataflow.scheduler.MixScheduler` for
-        workload-level mix orchestration.
-        """
-        if not groups:
-            raise ValidationError("mix must contain at least one group")
-        return [
-            self.run(batch_fields, niter, coefficients, stacked_bytes_limit)
-            for batch_fields, niter in groups
-        ]
-
     def total_cycles(self, niter: int, batch: int, mesh_shape: tuple[int, ...]) -> float:
         """Structural cycles for the batched solve (stacked stream)."""
         check_positive("batch", batch)

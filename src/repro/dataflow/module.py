@@ -5,11 +5,10 @@ A :class:`StencilModule` chains the program's fused stages (each a
 one iteration — the unit that iterative unrolling replicates ``p`` times
 (paper Fig. 2).
 
-Functionally the module executes through the plan-compiled engine by
-default (:mod:`repro.stencil.compiled`), falling back to the tree-walking
-golden interpreter when constructed with ``engine="interpreter"``. Both
-paths are bit-identical; the structural accounting (fill latency, stream
-cycles, DSP cost) is engine-independent.
+Functionally the module is the tree-walking golden interpreter, one
+kernel per compute unit; the other engines run whole solves through
+:mod:`repro.stencil.compiled` instead of stepping a module. The structural
+accounting (fill latency, stream cycles, DSP cost) is engine-independent.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ from typing import Mapping
 
 from repro.dataflow.compute import ComputeUnit
 from repro.mesh.mesh import Field
-from repro.stencil.compiled import (
-    CompiledPlanCache,
-    check_engine,
-    run_program_compiled,
-)
 from repro.stencil.program import StencilProgram
 from repro.util.validation import check_positive
 
@@ -30,18 +24,10 @@ from repro.util.validation import check_positive
 class StencilModule:
     """One iteration of the program body as a chained dataflow stage."""
 
-    def __init__(
-        self,
-        program: StencilProgram,
-        V: int,
-        engine: str = "compiled",
-        plan_cache: CompiledPlanCache | None = None,
-    ):
+    def __init__(self, program: StencilProgram, V: int):
         check_positive("V", V)
         self.program = program
         self.V = V
-        self.engine = check_engine(engine)
-        self.plan_cache = plan_cache
         self.units = [ComputeUnit(k, V) for k in program.kernels()]
 
     def process(
@@ -50,13 +36,6 @@ class StencilModule:
         coefficients: Mapping[str, float] | None = None,
     ) -> dict[str, Field]:
         """Run one time iteration; returns the updated field environment."""
-        # "parallel" differs from "compiled" only at batch granularity — a
-        # single-mesh single-iteration step has nothing to fan out
-        if self.engine != "interpreter":
-            return run_program_compiled(
-                self.program, fields, 1, coefficients, cache=self.plan_cache,
-                engine=self.engine,
-            )
         env: dict[str, Field] = dict(fields)
         for unit in self.units:
             env.update(unit.process(env, coefficients))

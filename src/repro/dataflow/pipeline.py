@@ -55,7 +55,7 @@ class IterativePipeline:
         self.plan_cache = plan_cache
         self.max_workers = max_workers
         # modules are identical hardware; one functional instance suffices
-        self.module = StencilModule(program, V, engine, plan_cache)
+        self.module = StencilModule(program, V)
 
     # -- functional ---------------------------------------------------------------
     def _run_iterations(
@@ -127,8 +127,9 @@ class IterativePipeline:
         through one pipeline (eq. (15)); per-mesh results are bit-identical
         to ``B`` independent :meth:`run` calls. The parallel engine keeps
         the same chunk schedule but dispatches the chunks across a worker
-        pool (:func:`repro.parallel.run_program_parallel`). The
-        interpreter engine replays the golden path per mesh. ``niter``
+        pool (:func:`repro.parallel.run_program_parallel`); every other
+        engine runs :func:`~repro.stencil.compiled.run_program_stacked`,
+        where the interpreter replays the golden path per mesh. ``niter``
         must be a multiple of ``p`` exactly as for :meth:`run`.
 
         ``stacked_bytes_limit`` overrides the per-chunk working-set budget
@@ -151,40 +152,11 @@ class IterativePipeline:
                 cache=self.plan_cache, max_stack_bytes=stacked_bytes_limit,
                 max_workers=self.max_workers,
             )
-        if self.engine in ("compiled", "native"):
-            return run_program_stacked(
-                self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache, max_stack_bytes=stacked_bytes_limit,
-                engine=self.engine,
-            )
-        return [
-            dict(self._run_iterations(env, niter, coefficients))
-            for env in batch_fields
-        ]
-
-    def run_mix(
-        self,
-        groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
-        coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
-    ) -> list[list[dict[str, Field]]]:
-        """Run a mix of independent batches back to back.
-
-        Each group is a ``(batch_fields, niter)`` pair; meshes within a
-        group must share one spec (they ride one chunked stacked dispatch,
-        see :meth:`run_batch`), while specs and iteration counts may differ
-        freely across groups — the compiled engine keys plans by the bound
-        field specs, so one pipeline serves every mesh shape in the mix.
-        Higher-level mix orchestration (grouping a
-        :class:`~repro.workload.WorkloadMix`, dispatch accounting) lives in
-        :class:`repro.dataflow.scheduler.MixScheduler`.
-        """
-        if not groups:
-            raise ValidationError("mix must contain at least one group")
-        return [
-            self.run_batch(batch_fields, niter, coefficients, stacked_bytes_limit)
-            for batch_fields, niter in groups
-        ]
+        return run_program_stacked(
+            self.program, batch_fields, niter, coefficients,
+            cache=self.plan_cache, max_stack_bytes=stacked_bytes_limit,
+            engine=self.engine,
+        )
 
     # -- structural cycle accounting ------------------------------------------
     def pass_cycles(self, mesh_shape: tuple[int, ...], batch: int = 1, ii: float = 1.0) -> float:

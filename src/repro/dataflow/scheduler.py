@@ -8,10 +8,13 @@ iteration counts in flight at once — it
 1. **groups** members by identical job shape
    (:meth:`~repro.workload.WorkloadMix.job_groups`: same app, mesh, dtype
    and ``niter``), so every group rides one compiled plan;
-2. **executes** each group through the compiled engine in chunked stacked
-   mode (:func:`repro.stencil.compiled.run_program_stacked`): meshes stack
+2. **executes** each group on its engine — every engine, in chunked
+   stacked mode: the serial engines through
+   :func:`repro.stencil.compiled.run_program_stacked` (meshes stack
    batch-major in footprint-bounded chunks, paying one tape dispatch per
-   chunk instead of one per mesh;
+   chunk instead of one per mesh; the interpreter dispatches per mesh),
+   ``parallel`` through :func:`repro.parallel.executor.submit_stacked`,
+   which fans the same chunk schedule out over a worker pool;
 3. **accounts** for the dispatches actually issued, so callers (harness
    experiments, benchmarks, DSE validation) can compare scheduling
    policies structurally rather than by wall clock alone.
@@ -26,8 +29,8 @@ interpreter and raises on any mismatch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -54,21 +57,6 @@ from repro.workload import MixLike, WorkloadMix, WorkloadSpec, as_mix
 FieldsFor = Callable[[WorkloadSpec, int], Mapping[str, Field]]
 #: resolves the program a spec runs: ``spec -> StencilProgram``
 ProgramFor = Callable[[WorkloadSpec], StencilProgram]
-
-
-def per_mesh_stats(meshes: int) -> dict:
-    """The dispatch accounting of a strictly per-mesh engine.
-
-    One dispatch per mesh, nothing stacked — the default the scheduler
-    assumes when an engine reports no accounting at all (the interpreter
-    reference path fills its ``chunk_seconds`` in as it runs).
-    """
-    return {
-        "chunks": [1] * meshes,
-        "dispatches": meshes,
-        "stacked_meshes": 0,
-        "chunk_seconds": [],
-    }
 
 
 @dataclass(frozen=True)
@@ -174,7 +162,7 @@ class MixRunResult:
 
 @dataclass
 class MixScheduler:
-    """Runs workload mixes through the (chunked) stacked compiled engine.
+    """Runs workload mixes through the (chunked) stacked engines.
 
     ``fields_for`` and ``program_for`` default to resolution through the
     application registry for specs carrying app names; app-less specs need
@@ -271,7 +259,7 @@ class MixScheduler:
         """Execute every member of the mix; returns per-group results.
 
         Members are grouped by job shape and each group executes in
-        chunked stacked mode (one compiled tape dispatch per chunk). With
+        chunked stacked mode (one tape dispatch per chunk). With
         ``validate=True`` every mesh is additionally solved on the golden
         interpreter and compared bitwise — any divergence raises.
 
@@ -284,41 +272,91 @@ class MixScheduler:
         """
         mix = as_mix(mix)
         specs = list(mix.job_groups().values())
+        groups: list[GroupRun] = []
+        errors: list[GroupError] = []
+        batches: list = []
         with obs.span("mix.run", groups=len(specs), engine=self.engine):
-            if self.engine == "parallel":
-                return self._run_parallel(specs, validate, cancel)
-            groups: list[GroupRun] = []
-            errors: list[GroupError] = []
-            for spec in specs:
-                if self.strict:
-                    groups.append(self._run_group(spec, validate, cancel))
-                    continue
-                try:
-                    groups.append(self._run_group(spec, validate, cancel))
-                except ExecutionCancelled:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - isolated below
-                    errors.append(self._group_error(spec, exc))
-            return MixRunResult(
-                tuple(groups), validated=validate, errors=tuple(errors)
-            )
+            try:
+                finishers = [self._start(spec, cancel, batches) for spec in specs]
+                for spec, finish in zip(specs, finishers):
+                    try:
+                        groups.append(finish(validate))
+                    except ExecutionCancelled:
+                        raise
+                    except Exception as exc:  # noqa: BLE001 - isolated below
+                        if self.strict:
+                            raise
+                        errors.append(self._group_error(spec, exc))
+            finally:
+                for batch in batches:
+                    batch.close()  # no-op on collected groups
+        return MixRunResult(tuple(groups), validated=validate, errors=tuple(errors))
 
-    def _run_group(
+    def _start(
+        self, spec: WorkloadSpec, cancel: CancelToken | None, batches: list
+    ) -> Callable[[bool], GroupRun]:
+        """Start one group; the returned ``finish(validate)`` completes it.
+
+        Serial engines defer all of a group's work to ``finish``, so the
+        group's inputs are built, run and dropped one group at a time.
+        ``parallel`` submits the group's chunks here — every group is on
+        the pool before any is collected, so independent groups overlap —
+        and only collection waits for ``finish``. A submit failure is
+        re-raised by ``finish``, so :meth:`run` meets every group error in
+        group order.
+        """
+        if self.engine != "parallel":
+            return partial(self._finish, spec, cancel, None)
+        from repro.parallel.executor import submit_stacked
+
+        try:
+            program, envs = self._inputs(spec)
+            stats: dict = {}
+            batch = submit_stacked(
+                program,
+                envs,
+                spec.niter,
+                self.coefficients,
+                cache=self.plan_cache,
+                max_stack_bytes=self.stacked_bytes_limit,
+                stats=stats,
+                max_workers=self.max_workers,
+                policy=self.retry_policy,
+                fault_plan=self.fault_plan,
+                cancel=cancel,
+            )
+        except ExecutionCancelled:
+            raise
+        except Exception as exc:  # noqa: BLE001 - raised again by finish
+            error = exc
+
+            def failed(validate: bool) -> GroupRun:
+                raise error
+
+            return failed
+        batches.append(batch)
+        return partial(self._finish, spec, cancel, (program, envs, stats, batch))
+
+    def _finish(
         self,
         spec: WorkloadSpec,
+        cancel: CancelToken | None,
+        submitted: tuple | None,
         validate: bool,
-        cancel: CancelToken | None = None,
     ) -> GroupRun:
-        program = self._program(spec)
-        envs = [self._fields(spec, i, program) for i in range(spec.batch)]
-        stats: dict = {}
+        """Run (serial engines) or collect (``parallel``) one group."""
+        if submitted is None:
+            program, envs = self._inputs(spec)
+            stats: dict = {}
+        else:
+            program, envs, stats, batch = submitted
         with obs.span(
             "mix.group",
             spec=spec.describe(),
             batch=spec.batch,
             engine=self.engine,
         ):
-            if self.engine in ("compiled", "native"):
+            if submitted is None:
                 results = run_program_stacked(
                     program,
                     envs,
@@ -331,104 +369,25 @@ class MixScheduler:
                     engine=self.engine,
                 )
             else:
-                stats = per_mesh_stats(len(envs))
-                seconds = stats["chunk_seconds"]
-                results = []
-                for env in envs:
-                    if cancel is not None:
-                        cancel.raise_if_set(f"mix group {spec.describe()}")
-                    t0 = time.perf_counter()
-                    results.append(self._golden(program, env, spec.niter))
-                    seconds.append(time.perf_counter() - t0)
+                from repro.parallel.executor import ParallelExecutionError
+
+                try:
+                    results = batch.result()
+                except ParallelExecutionError as exc:
+                    raise ParallelExecutionError(
+                        f"workload {spec.describe()}: {exc}",
+                        backend=exc.backend,
+                        elapsed=exc.elapsed,
+                        attempts=exc.attempts,
+                        final_backend=exc.final_backend,
+                    ) from exc
         if validate and self.engine != "interpreter":
             self._validate_group(spec, program, envs, results)
         return self._group_run(spec, envs, results, stats)
 
-    def _run_parallel(
-        self,
-        specs: list[WorkloadSpec],
-        validate: bool,
-        cancel: CancelToken | None = None,
-    ) -> MixRunResult:
-        """Fan every group's chunks out before collecting any group.
-
-        Submission order is the mix's group order; collection blocks on
-        groups in that same order, so results, accounting and error
-        precedence are deterministic while the pool interleaves chunks of
-        all groups freely. A failing chunk surfaces as
-        :class:`~repro.parallel.ParallelExecutionError` carrying the
-        originating workload spec; still-pending sibling groups are
-        drained and their shared-memory segments reclaimed before it
-        propagates.
-        """
-        from repro.parallel.executor import ParallelExecutionError, submit_stacked
-
-        pending: list[tuple[WorkloadSpec, StencilProgram, list, dict, object]] = []
-        errors: list[GroupError] = []
-        try:
-            for spec in specs:
-                try:
-                    program = self._program(spec)
-                    envs = [
-                        self._fields(spec, i, program) for i in range(spec.batch)
-                    ]
-                    stats: dict = {}
-                    batch = submit_stacked(
-                        program,
-                        envs,
-                        spec.niter,
-                        self.coefficients,
-                        cache=self.plan_cache,
-                        max_stack_bytes=self.stacked_bytes_limit,
-                        stats=stats,
-                        max_workers=self.max_workers,
-                        policy=self.retry_policy,
-                        fault_plan=self.fault_plan,
-                        cancel=cancel,
-                    )
-                except ExecutionCancelled:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - isolated below
-                    if self.strict:
-                        raise
-                    errors.append(self._group_error(spec, exc))
-                    continue
-                pending.append((spec, program, envs, stats, batch))
-            groups = []
-            for spec, program, envs, stats, batch in pending:
-                try:
-                    with obs.span(
-                        "mix.group",
-                        spec=spec.describe(),
-                        batch=spec.batch,
-                        engine=self.engine,
-                    ):
-                        try:
-                            results = batch.result()
-                        except ParallelExecutionError as exc:
-                            raise ParallelExecutionError(
-                                f"workload {spec.describe()}: {exc}",
-                                backend=exc.backend,
-                                elapsed=exc.elapsed,
-                                attempts=exc.attempts,
-                                final_backend=exc.final_backend,
-                            ) from exc
-                    if validate:
-                        self._validate_group(spec, program, envs, results)
-                except ExecutionCancelled:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - isolated below
-                    if self.strict:
-                        raise
-                    errors.append(self._group_error(spec, exc))
-                    continue
-                groups.append(self._group_run(spec, envs, results, stats))
-            return MixRunResult(
-                tuple(groups), validated=validate, errors=tuple(errors)
-            )
-        finally:
-            for *_rest, batch in pending:
-                batch.close()  # no-op on collected groups
+    def _inputs(self, spec: WorkloadSpec) -> tuple[StencilProgram, list]:
+        program = self._program(spec)
+        return program, [self._fields(spec, i, program) for i in range(spec.batch)]
 
     def _group_error(self, spec: WorkloadSpec, exc: Exception) -> GroupError:
         """Record — and make observable — one isolated group failure."""
@@ -460,11 +419,8 @@ class MixScheduler:
 
     @staticmethod
     def _group_run(spec, envs, results, stats: dict) -> GroupRun:
-        # an engine that filled nothing in gets the per-mesh default once;
-        # a partially-filled dict is taken at face value — chunks are never
-        # fabricated to paper over missing accounting
-        if not stats:
-            stats = per_mesh_stats(len(envs))
+        # stats are taken at face value — chunks are never fabricated to
+        # paper over missing accounting
         chunks = tuple(stats.get("chunks", ()))
         return GroupRun(
             spec,

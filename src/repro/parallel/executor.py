@@ -672,11 +672,13 @@ def submit_stacked(
     Mirrors :func:`~repro.stencil.compiled.run_program_stacked` — same
     validation, same chunk schedule, same ``stats`` accounting — but
     returns immediately with a :class:`PendingBatch`. Degenerate batches
-    take the serial path inline and come back pre-resolved: ``niter == 0``
-    (nothing to run), mixed-dtype bindings (golden interpreter per mesh,
-    exactly as the serial engine falls back), and single-worker hosts
-    (``max_workers``/CPU count <= 1 and no explicit ``pool``), where
-    fan-out could only add dispatch overhead.
+    come back pre-resolved from one in-process
+    ``run_program_stacked(engine="parallel")`` call (the op tape, whatever
+    ``native`` says): ``niter == 0`` (nothing to run), mixed-dtype
+    bindings (golden interpreter per mesh, exactly as the serial engine
+    falls back), and single-worker hosts (``max_workers``/CPU count <= 1
+    and no explicit ``pool``), where fan-out could only add dispatch
+    overhead.
 
     ``backend`` forces ``"process"`` or ``"thread"`` workers; the default
     picks processes for chunks of at least
@@ -706,51 +708,21 @@ def submit_stacked(
         native = os.environ.get("REPRO_PARALLEL_NATIVE") == "1"
 
     workers = max_workers if max_workers else default_workers()
-
-    def _account(chunks: list[int], backend_used: str) -> None:
-        record_dispatch_stats(
-            stats, chunks,
-            backend=backend_used,
-            workers=1 if backend_used == "serial" else workers,
-        )
-
-    if niter == 0:
-        _account([], "serial")
-        if stats is not None:
-            stats["chunk_seconds"] = []
-        return PendingBatch(
-            batch_fields, None, niter, ready=[dict(env) for env in batch_fields]
-        )
     dtypes = {first[name].spec.dtype for name in required}
-    if len(dtypes) > 1:
-        from repro.stencil.numpy_eval import run_program
-
-        chunk_seconds: list[float] = []
-        ready = []
-        for env in batch_fields:
-            t0 = time.perf_counter()
-            ready.append(
-                run_program(program, env, niter, coefficients, engine="interpreter")
-            )
-            chunk_seconds.append(time.perf_counter() - t0)
-        _account([1] * len(batch_fields), "serial")
-        if stats is not None:
-            stats["chunk_seconds"] = chunk_seconds
-        return PendingBatch(batch_fields, None, niter, ready=ready)
+    if niter == 0 or len(dtypes) > 1 or (pool is None and workers <= 1):
+        # nothing to fan out (no iterations, a per-mesh interpreter binding,
+        # or a one-lane pool that cannot overlap anything): run the serial
+        # schedule in-process, accounted once as the "serial" rung
+        results = run_program_stacked(
+            program, batch_fields, niter, coefficients, cache=cache,
+            max_stack_bytes=max_stack_bytes, stats=stats, cancel=cancel,
+            engine="parallel",
+        )
+        return PendingBatch(batch_fields, None, niter, ready=results)
     cache = cache if cache is not None else DEFAULT_CACHE
     limit = max_stack_bytes if max_stack_bytes is not None else STACKED_BYTES_LIMIT
     plan = cache.plan_for(program, first, coefficients)
     chunks = stacked_chunk_sizes(len(batch_fields), plan.nbytes, limit)
-    if pool is None and workers <= 1:
-        # a one-lane pool cannot overlap anything; run the identical
-        # serial chunked schedule in-process (accounting included)
-        results = run_program_stacked(
-            program, batch_fields, niter, coefficients,
-            cache=cache, max_stack_bytes=limit, stats=stats, cancel=cancel,
-            engine="native" if native else "compiled",
-        )
-        _account(chunks, "serial")
-        return PendingBatch(batch_fields, plan, niter, ready=results)
     if backend is None and pool is not None:
         backend = pool.backend
     if backend is None:
@@ -815,7 +787,7 @@ def submit_stacked(
             niter=niter,
         )
     batch.backend = backend
-    _account(chunks, backend)
+    record_dispatch_stats(stats, chunks, backend, workers=workers)
     return batch
 
 

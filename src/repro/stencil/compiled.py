@@ -778,35 +778,34 @@ def check_stacked_batch(
 def record_dispatch_stats(
     stats: dict | None,
     chunks: Sequence[int],
-    backend: str | None = None,
+    backend: str,
     workers: int | None = None,
 ) -> None:
     """Write the dispatch-accounting keys and mirror them to the registry.
 
     The ``stats=`` dict is the per-call **view** — its key contract
     (``chunks``/``dispatches``/``stacked_meshes``, plus
-    ``backend``/``workers`` on the parallel paths) is stable and shared by
-    the serial and parallel engines. The same quantities feed the
-    process-wide :mod:`repro.observability` registry when it is enabled,
-    labelled by the dispatching backend, so aggregate counters and the
-    per-call dicts can never drift apart.
+    ``backend``/``workers`` on the parallel engine's paths, the ones that
+    pass ``workers``) is stable and shared by the serial and parallel
+    engines. The same quantities feed the process-wide
+    :mod:`repro.observability` registry when it is enabled, labelled by
+    ``backend`` (the engine or worker rung that dispatched), so aggregate
+    counters and the per-call dicts can never drift apart.
     """
     if stats is not None:
         stats["chunks"] = list(chunks)
         stats["dispatches"] = len(chunks)
         stats["stacked_meshes"] = sum(c for c in chunks if c > 1)
-        if backend is not None:
-            stats["backend"] = backend
         if workers is not None:
+            stats["backend"] = backend
             stats["workers"] = workers
     if obs.is_enabled():
-        label = backend if backend is not None else "compiled"
-        obs.inc("exec.dispatches", len(chunks), backend=label)
-        obs.inc("exec.meshes", sum(chunks), backend=label)
+        obs.inc("exec.dispatches", len(chunks), backend=backend)
+        obs.inc("exec.meshes", sum(chunks), backend=backend)
         obs.inc(
             "exec.stacked_meshes",
             sum(c for c in chunks if c > 1),
-            backend=label,
+            backend=backend,
         )
 
 
@@ -823,9 +822,15 @@ def run_program_stacked(
 ) -> list[dict[str, Field]]:
     """Solve ``B`` independent same-spec meshes in stacked tape dispatches.
 
-    ``engine="native"`` runs every chunk through the generated steady-loop
-    replay (:class:`~repro.stencil.native.NativeProgram`); results stay
-    bit-identical either way.
+    This is the one in-process batch path of every engine. ``engine``
+    picks how each chunk replays: ``"compiled"`` the op tape, ``"native"``
+    the generated steady-loop replay
+    (:class:`~repro.stencil.native.NativeProgram`), ``"interpreter"`` the
+    golden path per mesh (no plan is looked up). ``"parallel"`` replays
+    the op tape in-process: it is the parallel engine's serial rung, taken
+    by :func:`repro.parallel.executor.submit_stacked` when there is nothing
+    to fan out, and is accounted as backend ``"serial"`` with one worker.
+    Results are bit-identical on every engine.
 
     The batch members are stacked batch-major — a true leading axis, so
     meshes can never couple across the stacking boundary — and every tape
@@ -855,7 +860,9 @@ def run_program_stacked(
     actually issued — ``len(chunks)``), ``stacked_meshes`` (meshes that
     rode a stack of size > 1) and ``chunk_seconds`` (per-chunk wall-clock
     times, in chunk order — the raw samples behind the mix layer's
-    latency percentiles).
+    latency percentiles); ``engine="parallel"`` adds ``backend`` and
+    ``workers``. The registry series, the ``exec.stacked`` span and the
+    ``exec.dispatch`` event carry the engine as their backend label.
 
     ``cancel``, when given, is polled at every chunk boundary: a set token
     raises :class:`~repro.resilience.ExecutionCancelled` before the next
@@ -868,8 +875,12 @@ def run_program_stacked(
     if cancel is not None:
         cancel.raise_if_set("stacked dispatch")
 
+    label = "serial" if engine == "parallel" else engine
+
     def _account(chunks: list[int]) -> None:
-        record_dispatch_stats(stats, chunks)
+        record_dispatch_stats(
+            stats, chunks, label, workers=1 if engine == "parallel" else None
+        )
 
     def _timed(chunk_seconds: list[float], index: int, size: int, fn):
         if cancel is not None:
@@ -878,7 +889,7 @@ def run_program_stacked(
             t0 = time.perf_counter()
             out = fn()
             chunk_seconds.append(time.perf_counter() - t0)
-        obs.observe("exec.chunk_seconds", chunk_seconds[-1], backend="compiled")
+        obs.observe("exec.chunk_seconds", chunk_seconds[-1], backend=label)
         return out
 
     chunk_seconds: list[float] = []
@@ -889,7 +900,7 @@ def run_program_stacked(
         _account([])
         return [dict(env) for env in batch_fields]
     dtypes = {first[name].spec.dtype for name in required}
-    if len(dtypes) > 1:
+    if engine == "interpreter" or len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
 
         _account([1] * len(batch_fields))
@@ -919,7 +930,7 @@ def run_program_stacked(
         program=program.name,
         batch=len(batch_fields),
         niter=niter,
-        engine="compiled",
+        engine=label,
     ):
         plan = cache.plan_for(program, first, coefficients)
         chunks = stacked_chunk_sizes(len(batch_fields), plan.nbytes, limit)
@@ -927,7 +938,7 @@ def run_program_stacked(
         obs.emit(
             "exec.dispatch",
             program=program.name,
-            backend="compiled",
+            backend=label,
             chunks=list(chunks),
             niter=niter,
         )

@@ -100,6 +100,10 @@ class TestScheduling:
         with pytest.raises(ValidationError):
             MixScheduler().run(spec)
 
+    def test_empty_mix_rejected(self):
+        with pytest.raises(ValidationError):
+            MixScheduler().run([])
+
     def test_bad_engine_rejected(self):
         with pytest.raises(ValidationError):
             MixScheduler(engine="verilog")
@@ -148,6 +152,28 @@ class TestParallelScheduling:
             for rp, rs in zip(gp.results, gs.results):
                 for name in rs:
                     assert np.array_equal(rp[name].data, rs[name].data)
+
+    def test_engines_report_the_same_chunk_schedule(self):
+        """Every stacked engine runs one chunk schedule per group; the
+        interpreter dispatches per mesh."""
+        jacobi = next(s for s in MIX.specs if s.app == "jacobi3d")
+        plan = CompiledPlanCache().plan_for(jacobi.program(), jacobi.fields())
+        limit = 2 * plan.nbytes  # jacobi's 3 meshes split into chunks (2, 1)
+        runs = {
+            engine: MixScheduler(
+                engine=engine, max_workers=2, stacked_bytes_limit=limit
+            ).run(MIX)
+            for engine in ("compiled", "native", "parallel", "interpreter")
+        }
+        schedule = [(g.chunks, g.dispatches) for g in runs["compiled"].groups]
+        assert ((2, 1), 2) in schedule
+        for engine in ("native", "parallel"):
+            assert [
+                (g.chunks, g.dispatches) for g in runs[engine].groups
+            ] == schedule, engine
+        for group in runs["interpreter"].groups:
+            assert group.chunks == (1,) * group.meshes
+            assert group.dispatches == group.meshes
 
     def test_single_worker_parallel_degrades_but_stays_correct(self):
         serial = MixScheduler().run(MIX)

@@ -17,7 +17,7 @@ import pytest
 
 from repro import observability as obs
 from repro.apps.registry import all_apps
-from repro.dataflow.scheduler import MixScheduler, per_mesh_stats
+from repro.dataflow.scheduler import MixScheduler
 from repro.observability.events import read_events
 from repro.parallel.executor import (
     ParallelExecutionError,
@@ -82,10 +82,12 @@ class TestStatsParity:
             for name in ser:
                 assert np.array_equal(ser[name].data, par[name].data)
 
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
     @pytest.mark.parametrize("enabled", [False, True])
-    def test_registry_view_preserves_stats_keys(self, enabled):
+    def test_registry_view_preserves_stats_keys(self, enabled, engine):
         """The registry-backed stats view keeps the stable key contract
-        whether or not recording is on."""
+        whether or not recording is on; every series, span and event is
+        labelled with the engine that ran."""
         if enabled:
             obs.enable()
         program, envs = _batch("poisson2d", 4)
@@ -94,7 +96,7 @@ class TestStatsParity:
         stats: dict = {}
         run_program_stacked(
             program, envs, 2, cache=cache,
-            max_stack_bytes=plan.nbytes * 2, stats=stats,
+            max_stack_bytes=plan.nbytes * 2, stats=stats, engine=engine,
         )
         assert set(stats) == {
             "chunks", "dispatches", "stacked_meshes", "chunk_seconds"
@@ -104,10 +106,27 @@ class TestStatsParity:
         assert all(s >= 0 for s in stats["chunk_seconds"])
         if enabled:
             reg = obs.metrics_registry()
-            assert reg.value("exec.dispatches", backend="compiled") == (
+            assert reg.value("exec.dispatches", backend=engine) == (
                 stats["dispatches"]
             )
-            assert reg.value("exec.meshes", backend="compiled") == len(envs)
+            assert reg.value("exec.meshes", backend=engine) == len(envs)
+            assert reg.histogram("exec.chunk_seconds", backend=engine).count == (
+                stats["dispatches"]
+            )
+            labels = {
+                label
+                for name, labels, _ in reg.items()
+                if name.startswith("exec.")
+                for key, label in labels
+                if key == "backend"
+            }
+            assert labels == {engine}
+            (event,) = obs.ring_sink().of_kind("exec.dispatch")
+            assert event["backend"] == engine
+            (span,) = [
+                r for r in obs.tracer().records() if r.name == "exec.stacked"
+            ]
+            assert span.attrs["engine"] == engine
 
 
 class TestDisabledDefault:
@@ -193,15 +212,6 @@ class TestMixLatency:
         assert group.chunks == (1, 1, 1)
         assert len(group.chunk_seconds) == 3
         assert all(s > 0 for s in group.chunk_seconds)
-
-    def test_per_mesh_stats_helper(self):
-        stats = per_mesh_stats(3)
-        assert stats == {
-            "chunks": [1, 1, 1],
-            "dispatches": 3,
-            "stacked_meshes": 0,
-            "chunk_seconds": [],
-        }
 
     def test_group_run_tolerates_partial_stats(self):
         """A stats dict without ``chunks`` must not fabricate per-mesh

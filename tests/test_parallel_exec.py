@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import observability as obs
 from repro.apps.registry import all_apps
 from repro.mesh.mesh import Field, MeshSpec
 from repro.parallel.executor import (
@@ -154,9 +155,21 @@ class TestDegeneratePaths:
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(4)]
         stats: dict = {}
-        got = run_program_parallel(
-            program, envs, 3, stats=stats, max_workers=1
-        )
+        obs.enable(fresh=True)
+        try:
+            got = run_program_parallel(
+                program, envs, 3, stats=stats, max_workers=1
+            )
+            # the one in-process dispatch is recorded once, as "serial"
+            reg = obs.metrics_registry()
+            assert reg.value("exec.dispatches", backend="serial") == 1
+            assert reg.value("exec.meshes", backend="serial") == 4
+            assert {
+                name for name, labels, _ in reg.items()
+                if ("backend", "compiled") in labels
+            } == set()
+        finally:
+            obs.disable()
         assert stats["backend"] == "serial"
         assert stats["workers"] == 1
         serial = run_program_stacked(program, envs, 3)

@@ -106,7 +106,11 @@ class TestBestEffortIsolation:
         assert by_app["poisson2d"].retries >= 1
         assert by_app["jacobi3d"].retries == 0
 
-    def test_compiled_engine_isolates_too(self):
+    @pytest.mark.parametrize(
+        "engine", ["compiled", "native", "interpreter", "parallel"]
+    )
+    def test_compiled_engine_isolates_too(self, engine):
+        """One strict/isolate handler serves every engine."""
         doomed = _doomed_spec()
 
         def program_for(spec):
@@ -115,14 +119,17 @@ class TestBestEffortIsolation:
             return spec.program()
 
         run = MixScheduler(
-            engine="compiled", strict=False, program_for=program_for
-        ).run(MIX)
+            engine=engine, max_workers=2, strict=False,
+            program_for=program_for,
+        ).run(MIX, validate=True)
         assert not run.ok
         (error,) = run.errors
+        assert error.spec.job_key == doomed.job_key
         assert "injected resolver failure" in error.error
         assert error.attempts is None  # never reached the parallel engine
         (survivor,) = run.groups
         assert survivor.spec.app == "jacobi3d"
+        assert survivor.meshes == 2
 
 
 class TestValidateMixSemantics:

@@ -306,6 +306,12 @@ class TestStackedEdgeCases:
         ]
         with pytest.raises(ValidationError, match="same spec"):
             run_program_stacked(program, batch, 2)
+        # the interpreter engine's batches take the same path and checks
+        from repro.dataflow.pipeline import IterativePipeline
+
+        pipe = IterativePipeline(program, V=1, p=1, engine="interpreter")
+        with pytest.raises(ValidationError, match="same spec"):
+            pipe.run_batch(batch, 2)
         with pytest.raises(ValidationError, match="needs field"):
             run_program_stacked(program, [app.fields(shape), {}], 2)
 
@@ -692,71 +698,3 @@ class TestStackedBytesLimitKnob:
         for env, res in zip(envs, results):
             gold = run_program(program, env, 2, engine="interpreter")
             _assert_env_equal(gold, res)
-
-
-class TestRunMix:
-    """Mixes ride the same entry points batches do."""
-
-    def test_pipeline_and_accelerator_run_mix(self):
-        from repro.dataflow.accelerator import FPGAAccelerator
-        from repro.dataflow.pipeline import IterativePipeline
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        groups = [
-            ([app.fields((20, 16), seed=s) for s in range(3)], 4),
-            ([app.fields((12, 10), seed=s) for s in range(2)], 2),
-        ]
-        pipe = IterativePipeline(program, V=1, p=2)
-        got = pipe.run_mix(groups)
-        assert [len(g) for g in got] == [3, 2]
-        for (batch, niter), results in zip(groups, got):
-            for env, res in zip(batch, results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-
-        acc = FPGAAccelerator(program, app.design(p=2, V=1))
-        results, mix_report = acc.run_mix(groups)
-        assert len(mix_report.reports) == 2
-        assert mix_report.seconds == pytest.approx(
-            sum(r.seconds for r in mix_report.reports)
-        )
-        assert mix_report.power_w == max(
-            r.power_w for r in mix_report.reports
-        )
-        for (batch, niter), group_results in zip(groups, results):
-            for env, res in zip(batch, group_results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-
-    def test_empty_mix_rejected(self):
-        from repro.dataflow.pipeline import IterativePipeline
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        pipe = IterativePipeline(program, V=1, p=2)
-        with pytest.raises(ValidationError):
-            pipe.run_mix([])
-
-    def test_batch_runner_run_mix(self):
-        from repro.dataflow.batcher import BatchRunner
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        runner = BatchRunner(program, app.design(p=2, V=1))
-        groups = [
-            ([app.fields((20, 16), seed=s) for s in range(3)], 4),
-            ([app.fields((12, 10), seed=s) for s in range(2)], 2),
-        ]
-        got = runner.run_mix(groups)
-        assert [len(g) for g in got] == [3, 2]
-        for (batch, niter), results in zip(groups, got):
-            for env, res in zip(batch, results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-        # per-group spec validation still applies inside a mix
-        mismatched = [(groups[0][0] + groups[1][0], 2)]
-        with pytest.raises(ValidationError):
-            runner.run_mix(mismatched)
-        with pytest.raises(ValidationError):
-            runner.run_mix([])
