@@ -29,12 +29,11 @@ Commands
 ``serve MIX [--bench] [--clients N] [--requests N] [--engine E] ...``
     Stand up the async serving layer (``repro.serve``) and drive it with
     a closed-loop load generator: bounded per-tenant admission queues,
-    job coalescing into stacked dispatches, per-job deadlines, circuit
-    breaking with serial degradation, graceful drain. Prints the
-    latency-percentile report and the server health snapshot; exits
-    non-zero if any shared-memory segment leaks. ``--fail-fast`` disables
-    the chunk retry ladder so injected faults (``--fault-plan`` /
-    ``REPRO_FAULT_PLAN``) reach the breaker (see ``docs/serving.md``).
+    job coalescing into stacked dispatches, per-job deadlines, graceful
+    drain. Prints the latency-percentile report and the server health
+    snapshot; exits non-zero if any shared-memory segment leaks. Injected
+    faults (``--fault-plan`` / ``REPRO_FAULT_PLAN``) are recovered per
+    chunk by the executor's retry ladder (see ``docs/serving.md``).
 ``metrics MIX [--engine E] [--serve] [--trace FILE]``
     Run a mix fully instrumented and dump the Prometheus-style metrics
     and the human-readable trace table. ``--serve`` routes the mix
@@ -406,7 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.parallel.shm import live_segments
-    from repro.resilience import FaultPlan, RetryPolicy
+    from repro.resilience import FaultPlan
     from repro.serve import Server, ServerConfig, run_closed_loop
     from repro.util.tables import TextTable
     from repro.workload import WorkloadMix
@@ -422,11 +421,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         admission=args.admission,
         batch_window=args.batch_window,
-        failure_threshold=args.failure_threshold,
-        reset_timeout=args.reset_timeout,
         validate=args.validate,
         seed=args.seed,
-        retry_policy=RetryPolicy.disabled() if args.fail_fast else None,
         fault_plan=fault_plan,
     )
 
@@ -463,13 +459,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
          _ms(lat["p50"]), _ms(lat["p95"]), _ms(lat["p99"])]
     )
     print(table.render())
-    breaker = health["breaker"]
     jobs = health["jobs"]
-    print(
-        f"health: state={health['state']}, breaker={breaker['state']} "
-        f"({breaker['trips']} trips), degraded dispatches: "
-        f"{jobs['degraded']:g}"
-    )
+    print(f"health: state={health['state']}")
     print(
         f"jobs: admitted {jobs['admitted']:g}, completed {jobs['completed']:g}, "
         f"rejected {jobs['rejected']:g}, shed {jobs['shed']:g}, "
@@ -758,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="parallel",
         choices=("compiled", "parallel", "native", "interpreter"),
-        help="engine while the breaker is closed (open degrades to compiled)",
+        help="engine every dispatch runs on (default parallel)",
     )
     p_srv.add_argument(
         "--max-workers", type=int, default=None,
@@ -784,19 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         "into one stacked dispatch (default 0.005)",
     )
     p_srv.add_argument(
-        "--failure-threshold", type=int, default=3,
-        help="consecutive parallel failures that trip the breaker (default 3)",
-    )
-    p_srv.add_argument(
-        "--reset-timeout", type=float, default=1.0,
-        help="seconds an open breaker waits before half-opening (default 1)",
-    )
-    p_srv.add_argument(
-        "--fail-fast", action="store_true",
-        help="disable the chunk retry ladder so parallel failures surface "
-        "to the breaker instead of being recovered per chunk",
-    )
-    p_srv.add_argument(
         "--validate", action="store_true",
         help="re-derive every served mesh on the golden interpreter and "
         "compare bitwise",
@@ -810,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--trace",
         help="record the run's structured events (admissions, sheds, "
-        "breaker transitions, drain) to this JSONL file",
+        "dispatches, retries, drain) to this JSONL file",
     )
     p_srv.set_defaults(fn=_cmd_serve)
 

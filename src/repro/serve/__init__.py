@@ -8,12 +8,13 @@ merged stacked dispatches through the
 :class:`~repro.dataflow.scheduler.MixScheduler`, and wraps the whole path
 in a robustness envelope — bounded per-tenant admission queues with
 weighted fair dequeue, per-job deadlines with cooperative in-flight
-cancellation, a circuit breaker that degrades to the serial engine while
-the parallel backend heals, health/readiness snapshots, and a graceful,
-leak-free drain. See ``docs/serving.md`` and ``repro serve``.
+cancellation, health/readiness snapshots, and a graceful, leak-free
+drain. A failing parallel dispatch is recovered per chunk by the
+executor's :class:`~repro.resilience.RetryPolicy` ladder, so served
+results stay bit-identical under faults. See ``docs/serving.md`` and
+``repro serve``.
 """
 
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.errors import (
     DeadlineExceeded,
     QueueFullError,
@@ -25,7 +26,6 @@ from repro.serve.queue import FairQueue
 from repro.serve.server import Job, JobHandle, Server, ServerConfig
 
 __all__ = [
-    "CircuitBreaker",
     "DeadlineExceeded",
     "FairQueue",
     "Job",

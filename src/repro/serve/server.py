@@ -24,10 +24,10 @@ The robustness envelope, end to end:
   :class:`~repro.serve.errors.DeadlineExceeded` while its batch is
   cancelled cooperatively through the
   :class:`~repro.resilience.CancelToken` threaded down the engine stack.
-* **Circuit breaking** — consecutive parallel-backend failures trip a
-  :class:`~repro.serve.breaker.CircuitBreaker`; while open, dispatches
-  degrade to the serial compiled engine (results stay bit-identical),
-  and timed half-open probes restore the parallel backend when it heals.
+* **Fault recovery** — a failing parallel dispatch is recovered per
+  chunk by the executor's :class:`~repro.resilience.RetryPolicy` ladder
+  (process → thread → in-process serial, bit-identical on every rung);
+  a group whose ladder is exhausted fails its jobs, not the server.
 * **Graceful drain** — :meth:`Server.close` stops admissions and either
   drains (every queued/in-flight job resolves or deadline-fails) or sheds
   everything; either way no shared-memory segment outlives the server
@@ -51,14 +51,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 from repro import observability as obs
+from repro.dataflow.scheduler import MixScheduler
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel.executor import ParallelExecutionError
-from repro.resilience import CancelToken, ExecutionCancelled, FaultPlan, RetryPolicy
-from repro.serve.breaker import CircuitBreaker
+from repro.resilience import CancelToken, ExecutionCancelled, FaultPlan
 from repro.serve.errors import DeadlineExceeded, QueueFullError, ServerClosedError
 from repro.serve.queue import FairQueue
 from repro.stencil.compiled import check_engine
 from repro.util.errors import ValidationError
+from repro.util.validation import check_positive
 from repro.workload import WorkloadSpec
 
 #: admission policies for a full tenant queue
@@ -69,7 +69,7 @@ ADMISSIONS = ("reject", "block")
 class ServerConfig:
     """Tuning of one :class:`Server` instance."""
 
-    #: engine while the breaker is closed
+    #: engine every dispatch runs on
     #: ("parallel" | "compiled" | "native" | "interpreter")
     engine: str = "parallel"
     #: worker-pool width for the parallel engine (None: one per core)
@@ -85,18 +85,12 @@ class ServerConfig:
     batch_window: float = 0.005
     #: mesh budget one loop tick dequeues (bounds a tick's working set)
     max_batch_meshes: int = 64
-    #: consecutive parallel failures that trip the breaker
-    failure_threshold: int = 3
-    #: seconds an open breaker waits before half-opening
-    reset_timeout: float = 1.0
     #: deadline/shed poll cadence of the monitor task, seconds
     monitor_interval: float = 0.02
     #: re-derive every served mesh on the golden interpreter (bit-identity)
     validate: bool = False
     #: base seed for synthesized initial conditions (see MixScheduler)
     seed: int = 0
-    #: retry/degradation policy for parallel dispatches (None: default)
-    retry_policy: RetryPolicy | None = None
     #: deterministic faults armed into parallel dispatches (None: env plan)
     fault_plan: FaultPlan | None = None
     #: per-chunk stacking budget in bytes (None: module default)
@@ -104,6 +98,8 @@ class ServerConfig:
 
     def __post_init__(self):
         check_engine(self.engine)
+        check_positive("max_batch_meshes", self.max_batch_meshes)
+        check_positive("monitor_interval", self.monitor_interval)
         if self.admission not in ADMISSIONS:
             raise ValidationError(
                 f"unknown admission policy {self.admission!r}; "
@@ -196,10 +192,6 @@ class Server:
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
         self.metrics = MetricsRegistry()
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.failure_threshold,
-            reset_timeout=self.config.reset_timeout,
-        )
         self._queue = FairQueue(
             self.config.queue_depth, self.config.tenant_weights
         )
@@ -209,7 +201,14 @@ class Server:
         self._space_waiters: deque[asyncio.Future] = deque()
         self._outstanding: set[Job] = set()
         self._inflight: set[_InflightGroup] = set()
-        self._schedulers: dict[str, object] = {}
+        self._scheduler = MixScheduler(
+            engine=self.config.engine,
+            seed=self.config.seed,
+            max_workers=self.config.max_workers,
+            strict=True,
+            fault_plan=self.config.fault_plan,
+            stacked_bytes_limit=self.config.stacked_bytes_limit,
+        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._work: asyncio.Event | None = None
         self._loop_task: asyncio.Task | None = None
@@ -416,7 +415,6 @@ class Server:
         token = CancelToken()
         group = _InflightGroup(jobs, token)
         self._inflight.add(group)
-        probe = False
         try:
             # jobs resolved between the dequeue tick and this task body
             # (client cancels land in that gap) are excluded from the
@@ -425,94 +423,32 @@ class Server:
             live = [job for job in jobs if not job.future.done()]
             if not live:
                 return
-            engine, probe = self._pick_engine()
             specs = [job.spec for job in live]
             obs.emit(
                 "serve.group_dispatch",
                 spec=specs[0].describe(),
                 jobs=len(specs),
                 meshes=sum(s.batch for s in specs),
-                engine=engine,
-                probe=probe,
+                engine=self.config.engine,
             )
             try:
                 run = await asyncio.to_thread(
-                    self._scheduler(engine).run,
-                    specs,
-                    self.config.validate,
-                    token,
+                    self._scheduler.run, specs, self.config.validate, token
                 )
             except ExecutionCancelled:
                 # deadline monitor / client cancels resolved every member;
                 # anything left alive (a token raced the last resolution)
-                # is a cancel. The backend was never judged: a held probe
-                # slot must be released, not left dangling in half-open.
-                if probe:
-                    self.breaker.abort_probe()
+                # is a cancel
                 for job in live:
                     job.future.cancel()
                 return
-            except ParallelExecutionError as exc:
-                self.breaker.record_failure()
-                obs.emit(
-                    "serve.group_parallel_failure",
-                    spec=specs[0].describe(),
-                    error=repr(exc),
-                    breaker=self.breaker.state,
-                )
-                await self._rerun_serial(live, specs, token)
-                return
-            except Exception as exc:  # noqa: BLE001 - resolve, don't crash the loop
-                if probe:
-                    self.breaker.abort_probe()
-                self._fail_jobs(live, exc)
-                return
-            if engine == "parallel":
-                self.breaker.record_success()
             self._resolve_group(live, run)
-        except Exception as exc:  # noqa: BLE001 - an internal error (metrics,
-            # result slicing, breaker bookkeeping) must resolve the jobs,
-            # not escape into the batching loop
-            if probe:
-                self.breaker.abort_probe()
+        except Exception as exc:  # noqa: BLE001 - a failed dispatch (the
+            # executor's retry ladder exhausted) or an internal error (metrics,
+            # result slicing) must resolve the jobs, not escape into the loop
             self._fail_jobs(jobs, exc)
         finally:
             self._inflight.discard(group)
-
-    def _pick_engine(self) -> tuple[str, bool]:
-        """The engine this dispatch uses, honoring the breaker."""
-        engine = self.config.engine
-        if engine != "parallel":
-            return engine, False
-        if self.breaker.allow():
-            return "parallel", False
-        if self.breaker.begin_probe():
-            return "parallel", True
-        self._count("serve.degraded")
-        obs.emit("serve.group_degraded", breaker=self.breaker.state)
-        return "compiled", False
-
-    async def _rerun_serial(
-        self, jobs: list[Job], specs: list[WorkloadSpec], token: CancelToken
-    ) -> None:
-        """Ladder semantics at the serving layer: rerun a failed group serially."""
-        self._count("serve.degraded")
-        obs.emit("serve.group_degraded", breaker=self.breaker.state, rerun=True)
-        try:
-            run = await asyncio.to_thread(
-                self._scheduler("compiled").run,
-                specs,
-                self.config.validate,
-                token,
-            )
-        except ExecutionCancelled:
-            for job in jobs:
-                job.future.cancel()
-            return
-        except Exception as exc:  # noqa: BLE001 - resolve, don't crash the loop
-            self._fail_jobs(jobs, exc)
-            return
-        self._resolve_group(jobs, run)
 
     def _resolve_group(self, jobs: list[Job], run) -> None:
         """Slice the merged group's per-mesh results back onto the jobs.
@@ -638,18 +574,17 @@ class Server:
 
     # -- health & lifecycle -------------------------------------------------------
     def health(self) -> dict:
-        """A readiness/health snapshot: queues, breaker, counters, latency."""
+        """A readiness/health snapshot: queues, counters, latency."""
         return {
             "state": self._state,
             "queue": {"total": len(self._queue), "tenants": self._queue.depths()},
             "inflight_groups": len(self._inflight),
             "outstanding_jobs": len(self._outstanding),
-            "breaker": {"state": self.breaker.state, "trips": self.breaker.trips},
             "jobs": {
                 name: self._count_total(f"serve.{name}")
                 for name in (
                     "admitted", "rejected", "shed", "cancelled",
-                    "completed", "failed", "degraded",
+                    "completed", "failed",
                 )
             },
             "latency": self.metrics.histogram("serve.latency_seconds").summary(),
@@ -708,22 +643,6 @@ class Server:
         await self.close(drain=True)
 
     # -- internals ----------------------------------------------------------------
-    def _scheduler(self, engine: str):
-        scheduler = self._schedulers.get(engine)
-        if scheduler is None:
-            from repro.dataflow.scheduler import MixScheduler
-
-            scheduler = self._schedulers[engine] = MixScheduler(
-                engine=engine,
-                seed=self.config.seed,
-                max_workers=self.config.max_workers,
-                strict=True,
-                retry_policy=self.config.retry_policy,
-                fault_plan=self.config.fault_plan,
-                stacked_bytes_limit=self.config.stacked_bytes_limit,
-            )
-        return scheduler
-
     def _count(self, name: str, **labels: object) -> None:
         self.metrics.counter(name, **labels).inc()
         obs.inc(name, **labels)

@@ -197,7 +197,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "serve bench: 2 clients x 2 requests" in out
         assert "p50 ms" in out
-        assert "health: state=running, breaker=closed" in out
+        assert "health: state=running" in out
         assert "shared-memory segments: all reclaimed" in out
 
     def test_serve_bench_validate_and_trace(self, tmp_path, capsys):
@@ -214,19 +214,17 @@ class TestServeCommand:
         assert "serve.job_completed" in text
         assert "serve.closed" in text
 
-    def test_serve_breaker_cycle_under_fault_plan(self, capsys):
+    def test_serve_recovers_under_fault_plan(self, capsys):
         assert main([
             "serve", "poisson2d:16x12:10x2", "--bench",
             "--engine", "parallel", "--max-workers", "2",
             "--clients", "1", "--requests", "3",
-            "--fail-fast", "--failure-threshold", "1",
-            "--reset-timeout", "0.1", "--fault-plan", "crash@0",
+            "--validate", "--fault-plan", "crash@0",
         ]) == 0
         out = capsys.readouterr().out
-        assert "1 trips" in out
-        assert "degraded dispatches" in out
-        # every request still served through the serial fallback
+        # the crashed chunk is recovered by the executor's retry ladder
         assert "failed 0" in out
+        assert "validated: every served mesh bit-identical" in out
 
     def test_serve_rejects_bad_spec(self, capsys):
         assert main(["serve", "nonsense"]) == 2

@@ -3,8 +3,8 @@
 Covers the ISSUE's acceptance surface: bit-identical results through the
 coalescing path, deterministic overload rejection with exactly-once
 resolution and leak-free drain, deadline shedding, queued/in-flight
-cancellation, blocking admission, the breaker trip -> half-open -> recover
-cycle under a deterministic crash plan, and a Hypothesis-driven
+cancellation, blocking admission, recovery through the executor's retry
+ladder under a deterministic crash plan, and a Hypothesis-driven
 deadline/cancel race in which every job resolves exactly once.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro import observability as obs
 from repro.dataflow.scheduler import MixScheduler
 from repro.parallel.shm import live_segments
-from repro.resilience import ExecutionCancelled, FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan
 from repro.serve import (
     DeadlineExceeded,
     QueueFullError,
@@ -358,39 +358,6 @@ class TestDispatchRaces:
         for index, chunk in enumerate(per_job):
             _assert_envs_equal(chunk[0], want[index])
 
-    def test_cancelled_probe_dispatch_releases_the_probe_slot(self):
-        """A probe whose dispatch dies ExecutionCancelled must release the
-        half-open slot; otherwise the breaker wedges and the parallel
-        backend can never recover."""
-
-        class _CancelledScheduler:
-            def run(self, specs, validate, cancel):
-                raise ExecutionCancelled("every member job died mid-probe")
-
-        async def _run():
-            config = ServerConfig(
-                engine="parallel",
-                batch_window=0.005,
-                failure_threshold=1,
-                reset_timeout=0.01,
-            )
-            server = Server(config)
-            try:
-                server._schedulers["parallel"] = _CancelledScheduler()
-                server.breaker.record_failure()  # threshold 1: trips open
-                await asyncio.sleep(0.02)  # past reset_timeout
-                assert server.breaker.state == "half_open"
-                handle = await server.submit("poisson2d:12x10:6")
-                with pytest.raises(asyncio.CancelledError):
-                    await handle
-                assert server.breaker.state == "half_open"
-                assert server.breaker.begin_probe()  # slot free, not leaked
-                server.breaker.abort_probe()
-            finally:
-                await server.close(drain=False)
-
-        _serve(_run())
-
     def test_internal_error_fails_the_tick_and_the_loop_survives(self):
         """An exception escaping a group dispatch resolves that tick's
         jobs with the error instead of wedging the batching loop; the
@@ -423,6 +390,15 @@ class TestDispatchRaces:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_batch_meshes", 0), ("monitor_interval", 0.0),
+         ("monitor_interval", -0.01)],
+    )
+    def test_config_rejects_values_that_would_hang_the_server(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ServerConfig(engine="compiled", **{field: value})
+
     def test_closed_server_rejects_submits(self):
         async def _run():
             server = Server(ServerConfig(engine="compiled"))
@@ -474,98 +450,45 @@ class TestLifecycle:
         asyncio.run(_second())
 
 
-class TestCircuitBreaker:
-    def test_trip_half_open_recover_cycle_under_crash_plan(self):
-        """The ISSUE's breaker acceptance: two planned chunk crashes trip
-        the breaker twice (the second on the half-open probe); degraded
-        dispatches still serve bit-identical results (validate=True reruns
-        every mesh on the golden interpreter); the third parallel dispatch
-        probes clean and closes the breaker."""
-
-        async def _run():
-            obs.enable(fresh=True)
-            config = ServerConfig(
-                engine="parallel",
-                max_workers=2,
-                failure_threshold=1,
-                reset_timeout=0.2,
-                batch_window=0.002,
-                validate=True,
-                retry_policy=RetryPolicy.disabled(),
-                fault_plan=FaultPlan.parse("crash@0x2"),
-            )
-            async with Server(config) as server:
-                states = []
-                results = []
-                # dispatch 1: chunk 0 crashes -> trip -> serial rerun
-                results.append(await (await server.submit("poisson2d:16x12:10x2")))
-                states.append(server.breaker.state)
-                # breaker open: this dispatch degrades to serial up front
-                results.append(await (await server.submit("poisson2d:16x12:10x2")))
-                await asyncio.sleep(config.reset_timeout + 0.05)
-                # dispatch on the half-open probe: second crash re-trips
-                results.append(await (await server.submit("poisson2d:16x12:10x2")))
-                states.append(server.breaker.state)
-                await asyncio.sleep(config.reset_timeout + 0.05)
-                # probe again: the plan is spent, the probe succeeds
-                results.append(await (await server.submit("poisson2d:16x12:10x2")))
-                states.append(server.breaker.state)
-                health = server.health()
-            return server, states, results, health
-
-        server, states, results, health = _serve(_run())
-        try:
-            assert states == ["open", "open", "closed"]
-            assert server.breaker.trips == 2
-            assert all(len(r) == 2 for r in results)
-            # every job served, none failed, and the open-breaker window
-            # plus the post-failure reruns went through the serial engine
-            assert health["jobs"]["completed"] == 4
-            assert health["jobs"]["failed"] == 0
-            assert health["jobs"]["degraded"] >= 3
-            assert live_segments() == ()
-            breaker_kinds = [
-                k for k in obs.ring_sink().kinds()
-                if k.startswith("serve.breaker")
-            ]
-            assert breaker_kinds == [
-                "serve.breaker_open",
-                "serve.breaker_half_open",
-                "serve.breaker_open",
-                "serve.breaker_half_open",
-                "serve.breaker_closed",
-            ]
-            assert obs.ring_sink().of_kind("serve.group_parallel_failure")
-        finally:
-            obs.disable()
-
-    def test_breaker_results_match_healthy_run(self):
-        """Results served through trip/degrade/recover are bit-identical
-        to the same submission order on a healthy serial server."""
+class TestLadderRecovery:
+    def test_faulted_parallel_serve_recovers_bit_identically(self):
+        """Two planned chunk crashes are recovered per chunk by the
+        executor's default retry ladder: every job completes, none fails,
+        no segment leaks, and the served results are bit-identical to a
+        healthy serial server's (validate=True also re-derives every mesh
+        on the golden interpreter)."""
 
         async def _drive(config):
             async with Server(config) as server:
-                handles = [
-                    await server.submit("poisson2d:14x12:8x2")
-                    for _ in range(2)
+                results = [
+                    await (await server.submit("poisson2d:16x12:10x2"))
+                    for _ in range(4)
                 ]
-                return [await h for h in handles]
+                return results, server.health()
 
-        faulted = _serve(
-            _drive(
-                ServerConfig(
-                    engine="parallel",
-                    max_workers=2,
-                    failure_threshold=1,
-                    batch_window=0.02,
-                    retry_policy=RetryPolicy.disabled(),
-                    fault_plan=FaultPlan.parse("crash@0"),
+        obs.enable(fresh=True)
+        try:
+            faulted, health = _serve(
+                _drive(
+                    ServerConfig(
+                        engine="parallel",
+                        max_workers=2,
+                        validate=True,
+                        fault_plan=FaultPlan.parse("crash@0x2"),
+                    )
                 )
             )
-        )
-        healthy = _serve(
-            _drive(ServerConfig(engine="compiled", batch_window=0.02))
-        )
+            kinds = obs.ring_sink().kinds()
+        finally:
+            obs.disable()
+        assert health["jobs"]["completed"] == 4
+        assert health["jobs"]["failed"] == 0
+        assert kinds.count("exec.fault_injected") == 2
+        assert "resilience.retry" in kinds
+        assert "resilience.degraded" in kinds
+        assert live_segments() == ()
+        healthy, _ = _serve(_drive(ServerConfig(engine="compiled")))
+        assert all(len(r) == 2 for r in faulted)
         for got_chunk, want_chunk in zip(faulted, healthy):
             for got, want in zip(got_chunk, want_chunk):
                 _assert_envs_equal(got, want)
