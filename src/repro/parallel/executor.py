@@ -243,12 +243,17 @@ class PendingBatch:
         shared-memory slots released right here** — nobody will ever run
         them, so waiting for a collect that may never come would strand
         the segments (exactly what used to happen until the next pool
-        reset). In-flight chunks are left to finish their current tape
-        replay: a concurrent :meth:`result` observes the token at its next
-        safe point, reclaims their transport and raises
-        :class:`~repro.resilience.ExecutionCancelled`; a batch nobody
-        collects reclaims them in :meth:`close`. Idempotent; a no-op once
-        results have landed.
+        reset). Chunks the executor already handed to a worker — running,
+        finished, or sitting in its eager call queue, none of which a
+        future cancel can stop — are left to finish their current tape
+        replay, but their segment *names* are unlinked here too
+        (:meth:`SharedStack.unlink_name`): the worker and the collector
+        keep their mappings, so a cancelled batch holds nothing in
+        ``/dev/shm`` whether or not anyone collects it. A concurrent
+        :meth:`result` observes the token at its next safe point, closes
+        the remaining mappings and raises
+        :class:`~repro.resilience.ExecutionCancelled`. Idempotent; a no-op
+        once results have landed.
         """
         if self._results is not None or self.ready is not None:
             return
@@ -260,6 +265,10 @@ class PendingBatch:
                 chunk.cancelled = True
                 self._release(chunk)
                 dropped += 1
+            else:
+                stack = chunk.stack
+                if stack is not None:
+                    stack.unlink_name()
         obs.inc("exec.batches_cancelled")
         obs.emit(
             "exec.batch_cancelled",

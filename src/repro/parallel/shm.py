@@ -32,6 +32,11 @@ import numpy as np
 
 from repro.util.errors import ValidationError
 
+try:  # POSIX separates a segment's name from its mappings
+    import _posixshmem
+except ImportError:  # pragma: no cover - Windows frees with the last handle
+    _posixshmem = None
+
 #: names of owned (parent-allocated) segments not yet unlinked — the
 #: ground truth leak tests assert against after exercising error paths
 _LIVE: set[str] = set()
@@ -94,6 +99,8 @@ class SharedStack:
         self._shm = shm
         self._slots = slots
         self._owner = owner
+        #: the owner has not yet removed the segment's name (see unlink_name)
+        self._named = owner
         self._closed = False
         self._arrays: dict[str, np.ndarray] = {}
         try:
@@ -196,12 +203,43 @@ class SharedStack:
     def unlink(self) -> None:
         """Destroy the segment (owner's duty, exactly once)."""
         self.close()
-        if self._owner:
+        with _LIVE_LOCK:
+            if not self._owner:
+                return
             self._owner = False
-            with _LIVE_LOCK:
-                _LIVE.discard(self._shm.name)
+            named, self._named = self._named, False
+            _LIVE.discard(self._shm.name)
+        if not named:
+            # unlink_name() already removed the name; only the tracker
+            # registration is left to drop
+            if _posixshmem is not None:
+                resource_tracker.unregister(self._shm._name, "shared_memory")  # noqa: SLF001
+            return
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+
+    def unlink_name(self) -> None:
+        """Remove the segment's ``/dev/shm`` name now; keep every mapping.
+
+        POSIX frees the pages once the last mapping closes, so a peer that
+        already attached finishes undisturbed, no later attach succeeds,
+        and nothing outlives the processes even if :meth:`unlink` only
+        runs much later. Dropping the resource-tracker registration is left
+        to :meth:`unlink`: a peer attaching right now may still be sending
+        its own registration, and un-registering first would leave the
+        tracker a stale entry to warn about at exit. Owner only; safe from
+        any thread; a no-op after the first call or after :meth:`unlink`.
+        """
+        with _LIVE_LOCK:
+            if not (self._owner and self._named):
+                return
+            self._named = False
+            _LIVE.discard(self._shm.name)
+        if _posixshmem is not None:
             try:
-                self._shm.unlink()
+                _posixshmem.shm_unlink(self._shm._name)  # noqa: SLF001
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 

@@ -579,7 +579,11 @@ class Server:
             "state": self._state,
             "queue": {"total": len(self._queue), "tenants": self._queue.depths()},
             "inflight_groups": len(self._inflight),
-            "outstanding_jobs": len(self._outstanding),
+            # a resolved job leaves the set only when its done callback
+            # runs on a later loop pass; count what is actually unresolved
+            "outstanding_jobs": sum(
+                1 for job in self._outstanding if not job.future.done()
+            ),
             "jobs": {
                 name: self._count_total(f"serve.{name}")
                 for name in (

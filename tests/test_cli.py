@@ -226,6 +226,15 @@ class TestServeCommand:
         assert "failed 0" in out
         assert "validated: every served mesh bit-identical" in out
 
+    @pytest.mark.parametrize(
+        "flag", ["--fail-fast", "--failure-threshold", "--reset-timeout"]
+    )
+    def test_serve_has_no_breaker_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "poisson2d:12x10:6", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_serve_rejects_bad_spec(self, capsys):
         assert main(["serve", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err

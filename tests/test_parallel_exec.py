@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import observability as obs
 from repro.apps.registry import all_apps
@@ -381,6 +381,97 @@ class TestCooperativeCancellation:
         with pytest.raises(ExecutionCancelled):
             pending.result()
         assert live_segments() == ()
+
+    def test_cancel_unlinks_started_chunk_segments_at_once(self):
+        """Chunks a worker already picked up cannot be stopped, but their
+        segment names go at cancel time too, so no bound on the executor's
+        eager queue matters: nothing is left for a collect to reclaim."""
+        import time
+
+        from repro.parallel.shm import live_segments
+
+        pending = self._submit_many_chunks()
+        time.sleep(0.05)  # let the workers pick up (and start) chunks
+        pending.cancel("test teardown")
+        assert live_segments() == ()
+        with pytest.raises(ExecutionCancelled):
+            pending.result()
+        assert live_segments() == ()
+        # workers that found their segment gone did not poison the pool
+        app = all_apps()["jacobi3d"]
+        shape = APP_MESHES["jacobi3d"]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=s) for s in range(2)]
+        got = run_program_parallel(
+            program, envs, 3, max_workers=2, backend="process",
+            max_stack_bytes=0,
+        )
+        for env, res in zip(envs, got):
+            _assert_env_equal(run_program(program, env, 3, engine="interpreter"), res)
+        assert live_segments() == ()
+
+    def test_cancelled_batch_dropped_uncollected_leaks_nothing(self):
+        """A cancelled batch nobody calls result() or close() on still
+        leaves no shared-memory segment behind."""
+        import gc
+        import os
+
+        from repro.parallel.shm import live_segments
+
+        pending = self._submit_many_chunks()
+        names = live_segments()
+        pending.cancel("caller went away")
+        assert live_segments() == ()
+        del pending
+        gc.collect()
+        shutdown_shared_pools()  # waits out the chunks already running
+        if os.path.isdir("/dev/shm"):
+            assert [n for n in names if os.path.exists(f"/dev/shm/{n}")] == []
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        delay=st.sampled_from([0.0, 0.001, 0.005, 0.02, 0.05, 0.2]),
+        batch=st.integers(min_value=1, max_value=4),
+        backend=st.sampled_from(["process", "thread"]),
+    )
+    def test_cancel_racing_collection_resolves_cleanly(self, delay, batch, backend):
+        """Cancel timing against completion: a concurrent result() either
+        returns the whole batch bit-identical or raises
+        ExecutionCancelled, and no segment outlives the batch either way."""
+        import threading
+        import time
+
+        app = all_apps()["poisson2d"]
+        shape = APP_MESHES["poisson2d"]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=s) for s in range(batch)]
+        pending = submit_stacked(
+            program, envs, 300, max_workers=2, backend=backend,
+            max_stack_bytes=0,
+        )
+        outcome: dict = {}
+
+        def _collect():
+            try:
+                outcome["results"] = pending.result()
+            except ExecutionCancelled as exc:
+                outcome["cancelled"] = exc
+
+        collector = threading.Thread(target=_collect)
+        collector.start()
+        time.sleep(delay)
+        pending.cancel("race")
+        collector.join(timeout=30.0)
+        assert not collector.is_alive()
+        assert live_segments_empty()
+        assert len(outcome) == 1
+        for env, res in zip(envs, outcome.get("results", [])):
+            gold = run_program(program, env, 300, engine="interpreter")
+            _assert_env_equal(gold, res)
 
     def test_result_after_cancel_is_sticky(self):
         pending = self._submit_many_chunks(batch=3, niter=20)

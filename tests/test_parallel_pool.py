@@ -237,6 +237,42 @@ class TestSharedStack:
         # the half-built segment was closed and unlinked, not leaked
         assert live_segments() == before
 
+    def test_unlink_name_keeps_mappings_but_refuses_new_attaches(self):
+        owner = SharedStack.allocate(self.LAYOUT)
+        name = owner.handle[0]
+        peer = SharedStack.attach(owner.handle)
+        try:
+            owner.unlink_name()
+            # the name is gone from /dev/shm and from the leak registry ...
+            assert live_segments() == ()
+            with pytest.raises(FileNotFoundError):
+                SharedStack.attach(owner.handle)
+            # ... while both existing mappings still share the same pages
+            peer.array("o:U")[:] = 4.0
+            assert np.all(owner.array("o:U") == 4.0)
+        finally:
+            peer.close()
+            owner.unlink()
+        assert live_segments() == ()
+        with pytest.raises(FileNotFoundError):
+            SharedStack.attach((name, owner.handle[1]))
+
+    def test_unlink_name_is_idempotent_and_owner_only(self):
+        owner = SharedStack.allocate(self.LAYOUT)
+        try:
+            with SharedStack.attach(owner.handle) as peer:
+                peer.unlink_name()  # a peer never owns the name
+            assert live_segments() == (owner.handle[0],)
+            SharedStack.attach(owner.handle).close()
+            owner.unlink_name()
+            owner.unlink_name()  # second call is a no-op
+            assert live_segments() == ()
+        finally:
+            owner.unlink()
+            owner.unlink()
+        owner.unlink_name()  # and so is a call after unlink()
+        assert live_segments() == ()
+
     def test_non_owner_exit_does_not_unlink(self):
         owner = SharedStack.allocate(self.LAYOUT)
         try:

@@ -11,6 +11,7 @@ deadline/cancel race in which every job resolves exactly once.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from repro import observability as obs
 from repro.dataflow.scheduler import MixScheduler
 from repro.parallel.shm import live_segments
-from repro.resilience import FaultPlan
+from repro.parallel.executor import ParallelExecutionError
+from repro.resilience import ExecutionCancelled, FaultPlan
 from repro.serve import (
     DeadlineExceeded,
     QueueFullError,
@@ -220,6 +222,20 @@ class TestCancellation:
         assert health["jobs"]["cancelled"] == 1
         assert health["jobs"]["completed"] == 0
 
+    def test_health_stops_counting_a_job_the_moment_it_resolves(self):
+        """A caller that reads health() right after a job resolved, with
+        no loop pass in between, must not see it as outstanding."""
+
+        async def _run():
+            config = ServerConfig(engine="compiled", batch_window=0.5)
+            async with Server(config) as server:
+                handle = await server.submit("poisson2d:16x12:10")
+                assert server.health()["outstanding_jobs"] == 1
+                assert handle.cancel()
+                return server.health()
+
+        assert _serve(_run())["outstanding_jobs"] == 0
+
     def test_cancel_inflight_job_cancels_its_batch(self):
         async def _run():
             # tiny stacking budget -> many chunk boundaries -> the worker
@@ -389,15 +405,100 @@ class TestDispatchRaces:
         assert health["outstanding_jobs"] == 0
 
 
+    def test_exhausted_ladder_fails_only_that_groups_jobs(self):
+        """With serve's own fallback gone, a dispatch whose retry ladder
+        is exhausted fails its jobs through the generic path; the loop
+        and the scheduler keep serving the next submit."""
+
+        class _ExhaustedScheduler:
+            def run(self, specs, validate, cancel):
+                raise ParallelExecutionError(
+                    "every rung failed", attempts=6, final_backend="serial"
+                )
+
+        async def _run():
+            config = ServerConfig(engine="compiled", batch_window=0.005)
+            async with Server(config) as server:
+                real, server._scheduler = server._scheduler, _ExhaustedScheduler()
+                handle = await server.submit("poisson2d:12x10:6")
+                with pytest.raises(ParallelExecutionError, match="every rung"):
+                    await asyncio.wait_for(handle.result(), timeout=5.0)
+                server._scheduler = real
+                result = await asyncio.wait_for(
+                    (await server.submit("poisson2d:12x10:6")).result(),
+                    timeout=5.0,
+                )
+                assert len(result) == 1
+                return server.health()
+
+        health = _serve(_run())
+        assert health["jobs"]["failed"] == 1
+        assert health["jobs"]["completed"] == 1
+        assert health["outstanding_jobs"] == 0
+
+    def test_cancelled_dispatch_cancels_its_surviving_jobs(self):
+        """A dispatch that dies ExecutionCancelled resolves every member
+        still pending as cancelled (never failed) and the loop serves on."""
+
+        class _CancelledScheduler:
+            def run(self, specs, validate, cancel):
+                raise ExecutionCancelled("every member job died mid-dispatch")
+
+        async def _run():
+            config = ServerConfig(engine="compiled", batch_window=0.005)
+            async with Server(config) as server:
+                real, server._scheduler = server._scheduler, _CancelledScheduler()
+                handle = await server.submit("poisson2d:12x10:6")
+                with pytest.raises(asyncio.CancelledError):
+                    await asyncio.wait_for(handle.result(), timeout=5.0)
+                server._scheduler = real
+                result = await asyncio.wait_for(
+                    (await server.submit("poisson2d:12x10:6")).result(),
+                    timeout=5.0,
+                )
+                assert len(result) == 1
+                return server.health()
+
+        health = _serve(_run())
+        assert health["jobs"]["failed"] == 0
+        assert health["jobs"]["completed"] == 1
+        assert health["outstanding_jobs"] == 0
+
+
 class TestLifecycle:
     @pytest.mark.parametrize(
         "field, value",
-        [("max_batch_meshes", 0), ("monitor_interval", 0.0),
-         ("monitor_interval", -0.01)],
+        [("max_batch_meshes", 0), ("max_batch_meshes", -1),
+         ("monitor_interval", 0.0), ("monitor_interval", -0.01)],
     )
     def test_config_rejects_values_that_would_hang_the_server(self, field, value):
         with pytest.raises(ValidationError, match=field):
             ServerConfig(engine="compiled", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["failure_threshold", "reset_timeout", "retry_policy"]
+    )
+    def test_config_has_no_fallback_options(self, field):
+        """The executor's retry ladder is the only degradation mechanism;
+        serve configures none of its own."""
+        assert field not in {f.name for f in dataclasses.fields(ServerConfig)}
+        with pytest.raises(TypeError, match=field):
+            ServerConfig(engine="compiled", **{field: 1})
+
+    def test_health_reports_no_breaker_state(self):
+        async def _run():
+            async with Server(ServerConfig(engine="compiled")) as server:
+                return server.health()
+
+        health = _serve(_run())
+        assert set(health) == {
+            "state", "queue", "inflight_groups", "outstanding_jobs",
+            "jobs", "latency",
+        }
+        assert set(health["jobs"]) == {
+            "admitted", "rejected", "shed", "cancelled", "completed",
+            "failed",
+        }
 
     def test_closed_server_rejects_submits(self):
         async def _run():
